@@ -80,9 +80,8 @@ fn mean_diag_cx(plan: &MeasurementPlan) -> f64 {
 
 pub fn run(seed: u64, budget: Duration) -> Report {
     let mut report = Report::default();
-    let (mut s, setup_s) = harness::timed_setup(setup);
+    let (mut s, setup_timer) = harness::timed_setup(setup);
     s.rig.connect(1);
-    report.set("setup_s", setup_s);
     let engine = std::sync::Arc::clone(&s.rig.engine);
     let (program, observables) = (&s.program, &s.observables);
     // One full-size request down each path before timing, so that both
@@ -139,6 +138,7 @@ pub fn run(seed: u64, budget: Duration) -> Report {
     let inproc_out = inproc_out.into_inner().expect("callers joined");
     let wire_out = wire_out.into_inner().expect("callers joined");
     report.set("peak_rss_mib", harness::peak_rss_mib());
+    setup_timer.finish(setup, &mut report);
 
     inproc.report("", &mut report);
     wire.report("wire_", &mut report);

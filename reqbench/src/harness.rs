@@ -13,7 +13,8 @@ use rand::{Rng, SeedableRng};
 use crate::stats::{self, Report};
 use crate::trace::Tracer;
 
-/// Set-up is repeated this many times per run and reported as the median.
+/// Set-up is repeated this many times before a run's timed phase and as
+/// many times after it.
 pub const SETUP_REPEATS: usize = 7;
 
 /// Fewest requests a timed phase measures, so that p90 has ten samples
@@ -101,8 +102,33 @@ impl Drop for Rig {
 }
 
 /// Runs `setup` [`SETUP_REPEATS`] times; returns the last result and the
-/// median wall time in seconds. Earlier results are dropped untimed.
-pub fn timed_setup<T>(mut setup: impl FnMut() -> T) -> (T, f64) {
+/// timer that [`SetupTimer::finish`] completes after the timed phase.
+/// Earlier results are dropped untimed.
+pub fn timed_setup<T>(setup: impl FnMut() -> T) -> (T, SetupTimer) {
+    let (kept, before) = setup_times(setup);
+    (kept, SetupTimer { before })
+}
+
+/// Set-up times taken before a run's timed phase.
+pub struct SetupTimer {
+    before: Vec<f64>,
+}
+
+impl SetupTimer {
+    /// Repeats `setup` [`SETUP_REPEATS`] more times and sets `setup_s` to the
+    /// mean of the median set-up time before the timed phase and the median
+    /// after it. The host's speed switches between states lasting seconds,
+    /// so two moments a run apart keep one state from deciding the figure.
+    pub fn finish<T>(self, setup: impl FnMut() -> T, report: &mut Report) {
+        let (_, after) = setup_times(setup);
+        report.set(
+            "setup_s",
+            (stats::median(&self.before) + stats::median(&after)) / 2.0,
+        );
+    }
+}
+
+fn setup_times<T>(mut setup: impl FnMut() -> T) -> (T, Vec<f64>) {
     let mut times = Vec::with_capacity(SETUP_REPEATS);
     let mut kept = None;
     for _ in 0..SETUP_REPEATS {
@@ -112,7 +138,7 @@ pub fn timed_setup<T>(mut setup: impl FnMut() -> T) -> (T, f64) {
         drop(kept.replace(value));
     }
     eprintln!("set-up times (s): {times:?}");
-    (kept.expect("at least one set-up"), stats::median(&times))
+    (kept.expect("at least one set-up"), times)
 }
 
 /// One completed request: its class (program or request kind) and latency.
@@ -166,9 +192,9 @@ pub fn interleaved<A: Send, B: Send>(
                     for p in 0..2 {
                         let slice_start = Instant::now();
                         let local = if p == 0 {
-                            slice(a, caller, &mut next[p], unit, slice_start, inproc_step)
+                            slice(a, caller, &mut next[p], unit, SLICE, inproc_step)
                         } else {
-                            slice(b, caller, &mut next[p], unit, slice_start, wire_step)
+                            slice(b, caller, &mut next[p], unit, SLICE, wire_step)
                         };
                         phases.lock().expect("no caller panics holding the phases")[p].merge(local);
                         if barrier.wait().is_leader() {
@@ -190,20 +216,39 @@ pub fn interleaved<A: Send, B: Send>(
     (a, b)
 }
 
+/// One closed-loop caller running a single phase until `budget` has
+/// passed and it has [`MIN_REQUESTS`] requests, stopping at a multiple of
+/// `unit` of them.
+pub fn closed_loop(
+    budget: Duration,
+    unit: u64,
+    step: impl Fn(&mut (), usize, u64) -> Result<Sample, String>,
+) -> Phase {
+    let start = Instant::now();
+    let mut phase = slice(&mut (), 0, &mut 0, unit, budget, &step);
+    let mut next = phase.attempted;
+    while phase.attempted < MIN_REQUESTS {
+        phase.merge(slice(&mut (), 0, &mut next, unit, Duration::ZERO, &step));
+    }
+    phase.wall_s = start.elapsed().as_secs_f64();
+    phase
+}
+
 /// One caller's requests in one slice, continuing its sequence at `next`
-/// and stopping at a multiple of `unit` once [`SLICE`] has passed.
+/// and stopping at a multiple of `unit` once `length` has passed.
 fn slice<C>(
     state: &mut C,
     caller: usize,
     next: &mut u64,
     unit: u64,
-    start: Instant,
+    length: Duration,
     step: &impl Fn(&mut C, usize, u64) -> Result<Sample, String>,
 ) -> Phase {
+    let start = Instant::now();
     let mut local = Phase::default();
     let first = *next;
     let mut i = first;
-    while i == first || !i.is_multiple_of(unit) || start.elapsed() < SLICE {
+    while i == first || !i.is_multiple_of(unit) || start.elapsed() < length {
         local.attempted += 1;
         match step(state, caller, i) {
             Ok(sample) => local.samples.push(sample),
@@ -230,9 +275,8 @@ impl Phase {
         self.errors.truncate(5);
     }
 
-    /// Median latency of each class `0..classes`, in ms (0 for a class
-    /// without samples).
-    pub fn class_medians(&self, classes: usize) -> Vec<f64> {
+    /// `statistic` of the latencies of each class `0..classes`, in ms.
+    fn per_class(&self, classes: usize, statistic: fn(&[f64]) -> f64) -> Vec<f64> {
         (0..classes)
             .map(|c| {
                 let ms: Vec<f64> = self
@@ -241,7 +285,7 @@ impl Phase {
                     .filter(|s| s.class == c)
                     .map(|s| s.ns as f64 / 1e6)
                     .collect();
-                stats::median(&ms)
+                statistic(&ms)
             })
             .collect()
     }
@@ -249,42 +293,8 @@ impl Phase {
     /// Adds this phase's p50, p90 and throughput under `prefix` and its
     /// request accounting to `report`.
     pub fn report(&self, prefix: &str, report: &mut Report) {
-        let ms = self.samples.iter().map(|s| s.ns as f64 / 1e6).collect();
-        self.report_latencies(prefix, ms, report);
-    }
-
-    /// As [`Phase::report`], but p50 and p90 are taken over each request's
-    /// latency relative to its class median and scaled by the geometric
-    /// mean of the class medians. Used where classes differ by orders of
-    /// magnitude, so that a pooled percentile would only name the class at
-    /// that rank and jump between classes under machine noise.
-    pub fn report_normalized(&self, prefix: &str, classes: usize, report: &mut Report) {
-        let medians = self.class_medians(classes);
-        let Ok(scale) = stats::geomean(&medians) else {
-            report.error(format!("{prefix}: a class has no samples"));
-            return;
-        };
-        let scaled = self
-            .samples
-            .iter()
-            .map(|s| scale * (s.ns as f64 / 1e6) / medians[s.class])
-            .collect();
-        self.report_latencies(prefix, scaled, report);
-    }
-
-    fn report_latencies(&self, prefix: &str, mut ms: Vec<f64>, report: &mut Report) {
-        report.attempted += self.attempted;
-        report.failed += self.failed;
-        for e in &self.errors {
-            report.error(e.clone());
-        }
-        let classes = self.samples.iter().map(|s| s.class + 1).max().unwrap_or(0);
-        let medians: Vec<String> = self
-            .class_medians(classes)
-            .iter()
-            .map(|m| format!("{m:.3}"))
-            .collect();
-        eprintln!("{prefix}class medians (ms): {}", medians.join(" "));
+        self.report_throughput(prefix, report);
+        let mut ms: Vec<f64> = self.samples.iter().map(|s| s.ns as f64 / 1e6).collect();
         ms.sort_by(f64::total_cmp);
         for (q, name) in [(0.5, "p50_ms"), (0.9, "p90_ms")] {
             match stats::quantile(&ms, q) {
@@ -292,13 +302,37 @@ impl Phase {
                 Err(e) => report.error(format!("{prefix}{name}: {e}")),
             }
         }
-        report.set(&format!("{prefix}rps"), ms.len() as f64 / self.wall_s);
+    }
+
+    /// Adds this phase's throughput under `prefix` and its request
+    /// accounting to `report`.
+    pub fn report_throughput(&self, prefix: &str, report: &mut Report) {
+        report.attempted += self.attempted;
+        report.failed += self.failed;
+        for e in &self.errors {
+            report.error(e.clone());
+        }
+        let classes = self.samples.iter().map(|s| s.class + 1).max().unwrap_or(0);
+        let medians: Vec<String> = self
+            .per_class(classes, stats::median)
+            .iter()
+            .map(|m| format!("{m:.3}"))
+            .collect();
+        eprintln!("{prefix}class medians (ms): {}", medians.join(" "));
+        report.set(
+            &format!("{prefix}rps"),
+            self.samples.len() as f64 / self.wall_s,
+        );
     }
 }
 
-/// Sets `geomean_ms` from the in-process phase's per-class medians.
+/// Sets `geomean_ms`: the geometric mean over the in-process phase's
+/// classes of each class's trimmed mean latency. A mean rather than a
+/// median, because the host alternates between a fast and a slow state: a
+/// class median jumps between the two when their shares cross one half,
+/// while a mean moves in proportion to the shares.
 pub fn report_geomean(phase: &Phase, classes: usize, report: &mut Report) {
-    match stats::geomean(&phase.class_medians(classes)) {
+    match stats::geomean(&phase.per_class(classes, stats::trimmed_mean)) {
         Ok(v) => report.set("geomean_ms", v),
         Err(e) => report.error(format!("geomean_ms: {e}")),
     }

@@ -262,7 +262,7 @@ pub fn finish(t: &mut Tracer, layers: &mut Layers, hits: &mut HitCount, top: &To
 
 /// Files the per-layer metrics of a traced run into `report`.
 pub fn report_layers(layers: &Layers, hits: &HitCount, report: &mut Report) {
-    for (name, _) in crate::PER_LAYER {
+    for (name, _) in crate::PER_LAYER.iter().chain(crate::UNLISTED) {
         report.set(name, layers.median(name));
     }
     report.set("engine.hit_ratio", hits.ratio());

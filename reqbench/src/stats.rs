@@ -35,6 +35,19 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// Mean of `values` after dropping the lowest and the highest tenth
+/// (rounded down); 0 when empty.
+pub fn trimmed_mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let cut = sorted.len() / 10;
+    let kept = &sorted[cut..sorted.len() - cut];
+    kept.iter().sum::<f64>() / kept.len() as f64
+}
+
 /// Geometric mean of strictly positive values.
 pub fn geomean(values: &[f64]) -> Result<f64, String> {
     if values.is_empty() || values.iter().any(|&v| !(v > 0.0 && v.is_finite())) {
@@ -79,6 +92,14 @@ pub struct Report {
 impl Report {
     pub fn set(&mut self, name: &str, value: f64) {
         self.metrics.insert(name.to_string(), value);
+    }
+
+    /// Removes the metrics named in `names` and returns them.
+    pub fn take(&mut self, names: &[(&str, &str)]) -> BTreeMap<String, f64> {
+        names
+            .iter()
+            .filter_map(|(name, _)| self.metrics.remove_entry(*name))
+            .collect()
     }
 
     /// Counts one request whose output an oracle rejected.
@@ -142,7 +163,11 @@ mod tests {
 
     #[test]
     fn metric_names_follow_the_pattern() {
-        for (name, _) in crate::END_TO_END.iter().chain(crate::PER_LAYER) {
+        for (name, _) in crate::END_TO_END
+            .iter()
+            .chain(crate::PER_LAYER)
+            .chain(crate::UNLISTED)
+        {
             assert!(valid_name(name), "{name}");
         }
         assert!(!valid_name(""));
@@ -183,12 +208,17 @@ mod tests {
     }
 
     #[test]
-    fn geomean_and_median_arithmetic() {
+    fn geomean_median_and_trimmed_mean_arithmetic() {
         assert!((geomean(&[1.0, 4.0, 16.0]).unwrap() - 4.0).abs() < 1e-12);
         assert!(geomean(&[1.0, 0.0]).is_err());
         assert!(geomean(&[]).is_err());
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(trimmed_mean(&[3.0, 1.0, 2.0]), 2.0);
+        let mut values: Vec<f64> = (1..=8).map(f64::from).collect();
+        values.extend([-100.0, 1000.0]);
+        assert_eq!(trimmed_mean(&values), 4.5, "one tenth cut at each end");
+        assert_eq!(trimmed_mean(&[]), 0.0);
     }
 
     #[test]

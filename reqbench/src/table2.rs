@@ -1,7 +1,8 @@
 //! `table2-cold`: cold compiles of the paper's 19 Table-II programs, one
-//! caller, cycling every program once per cycle in seeded order, in-process
-//! and over loopback in alternating slices. Extraction and peephole do all the
-//! work; the cache, `serve` framing and `sim` do none.
+//! in-process caller, cycling every program once per cycle in seeded order.
+//! Extraction and peephole do all the work; the cache, `serve` framing and
+//! `sim` do none. The traced run also sends every other cycle over
+//! loopback, to show what `serve` adds to a cold compile.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -62,74 +63,54 @@ fn counts(result: &QuClearResult) -> (usize, usize, usize) {
 
 pub fn run(seed: u64, budget: Duration) -> Report {
     let mut report = Report::default();
-    let (mut s, setup_s) = harness::timed_setup(setup);
-    s.rig.connect(1);
-    report.set("setup_s", setup_s);
+    let (s, setup_timer) = harness::timed_setup(setup);
     let n = s.programs.len();
-    let engine = std::sync::Arc::clone(&s.rig.engine);
-    // The first in-process result of each program, kept for the oracle and
-    // the quality metrics.
+    let engine = &s.rig.engine;
+    // The first result of each program, kept for the oracle and the
+    // quality metrics.
     let first: Mutex<Vec<Option<Kept>>> = Mutex::new(vec![None; n]);
     let programs = &s.programs;
-
-    // Every wire answer must report the counts of the in-process answer to
-    // the same program; the first in-process slice compiles each program.
-    let reference = |p: usize| {
-        first.lock().expect("no caller panics")[p]
-            .as_ref()
-            .map(|(_, r)| counts(r))
-    };
-    let (inproc, wire) = harness::interleaved(
-        &mut [()],
-        &mut s.rig.clients,
-        budget,
-        n as u64,
-        |_, _, i| {
-            let (p, program) = request(seed, programs, i);
-            engine.clear_cache();
-            let start = Instant::now();
-            let result = engine.compile(&program).map_err(|e| e.to_string())?;
-            let ns = harness::ns_since(start);
-            let mut first = first.lock().expect("no caller panics");
-            match &first[p] {
-                None => first[p] = Some((program, result)),
-                Some((_, kept)) if counts(kept) != counts(&result) => {
-                    return Err(format!(
-                        "program {p}: counts {:?} vs {:?}",
-                        counts(&result),
-                        counts(kept)
-                    ));
-                }
-                Some(_) => {}
-            }
-            Ok(Sample { class: p, ns })
-        },
-        |client, _, i| {
-            let (p, program) = request(seed, programs, i);
-            let (axes, angles) = wire_program(&program);
-            let axes: Vec<&str> = axes.iter().map(String::as_str).collect();
-            engine.clear_cache();
-            let start = Instant::now();
-            let summary = client.compile(&axes, &angles).map_err(|e| e.to_string())?;
-            let ns = harness::ns_since(start);
-            let got = (summary.num_qubits, summary.cnot_count, summary.gate_count);
-            if reference(p) != Some(got) {
+    let inproc = harness::closed_loop(budget, n as u64, |_, _, i| {
+        let (p, program) = request(seed, programs, i);
+        engine.clear_cache();
+        let start = Instant::now();
+        let result = engine.compile(&program).map_err(|e| e.to_string())?;
+        let ns = harness::ns_since(start);
+        let mut first = first.lock().expect("no caller panics");
+        match &first[p] {
+            None => first[p] = Some((program, result)),
+            Some((_, kept)) if counts(kept) != counts(&result) => {
                 return Err(format!(
-                    "program {p}: wire counts {got:?} vs in-process {:?}",
-                    reference(p)
+                    "program {p}: counts {:?} vs {:?}",
+                    counts(&result),
+                    counts(kept)
                 ));
             }
-            Ok(Sample { class: p, ns })
-        },
-    );
+            Some(_) => {}
+        }
+        Ok(Sample { class: p, ns })
+    });
     let first = first.into_inner().expect("callers joined");
     report.set("peak_rss_mib", harness::peak_rss_mib());
+    setup_timer.finish(setup, &mut report);
 
-    // Program latencies span three orders of magnitude, so percentiles are
-    // taken relative to each program's median.
-    inproc.report_normalized("", n, &mut report);
-    wire.report_normalized("wire_", n, &mut report);
+    // Program latencies span three orders of magnitude, so a pooled
+    // percentile only names a program: p50 and p90 are placeholders holding
+    // `geomean_ms`. The workload is in-process only, so the wire metrics
+    // are placeholders holding the in-process values.
+    inproc.report_throughput("", &mut report);
     harness::report_geomean(&inproc, n, &mut report);
+    for (name, from) in [
+        ("p50_ms", "geomean_ms"),
+        ("p90_ms", "geomean_ms"),
+        ("wire_p50_ms", "geomean_ms"),
+        ("wire_p90_ms", "geomean_ms"),
+        ("wire_rps", "rps"),
+    ] {
+        if let Some(&value) = report.metrics.get(from) {
+            report.set(name, value);
+        }
+    }
 
     let mut cnots = Vec::new();
     let mut depths = Vec::new();

@@ -6,12 +6,14 @@
 //! the work; extraction does none.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use quclear_baselines::synthesize_naive;
 use quclear_circuit::qasm::{from_qasm, to_qasm};
+use quclear_circuit::{Circuit, Gate};
 use quclear_core::{lift, lift_qasm, AbsorbedObservables, QuClearResult};
 use quclear_engine::Engine;
 use quclear_pauli::{PauliRotation, SignedPauli};
@@ -217,6 +219,39 @@ fn digest(body: &ResponseBody, extracted: &mut dyn FnMut(&CompiledSummary) -> u6
     h.finish()
 }
 
+/// A digest of an in-process output: every gate of each result, or the
+/// rewritten observables. Cheap enough to take inside the timed loop, so
+/// that every output can be checked after it without keeping it.
+fn output_digest(output: &Output) -> u64 {
+    // FxHash-style word mixing.
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    let circuit = |mut h: u64, c: &Circuit| {
+        h = mix(h, c.num_qubits() as u64);
+        for gate in c.gates() {
+            h = mix(h, gate.name().bytes().fold(0, |a, b| a << 8 | u64::from(b)));
+            for &q in gate.qubit_list().as_slice() {
+                h = mix(h, q as u64);
+            }
+            if let Gate::Rz { angle, .. } | Gate::Rx { angle, .. } | Gate::Ry { angle, .. } = *gate
+            {
+                h = mix(h, angle.to_bits());
+            }
+        }
+        h
+    };
+    match output {
+        Output::One(r) => circuit(circuit(0, &r.optimized), &r.extracted),
+        Output::Many(rs) => rs
+            .iter()
+            .fold(1, |h, r| circuit(circuit(h, &r.optimized), &r.extracted)),
+        Output::Absorbed(absorbed) => {
+            let mut h = DefaultHasher::new();
+            absorbed.to_vec().hash(&mut h);
+            h.finish()
+        }
+    }
+}
+
 /// The digest the server's answer to `output` must have. The extracted
 /// Clifford depends only on the structure, so its text is rendered and
 /// hashed once per request kind.
@@ -243,15 +278,16 @@ fn expected_digest(output: &Output, kind: usize, cache: &mut [Option<u64>]) -> u
 
 pub fn run(seed: u64, budget: Duration) -> Report {
     let mut report = Report::default();
-    let (mut s, setup_s) = harness::timed_setup(setup);
+    let (mut s, setup_timer) = harness::timed_setup(setup);
     s.rig.connect(CALLERS);
-    report.set("setup_s", setup_s);
     let engine = Arc::clone(&s.rig.engine);
     let mut clients = std::mem::take(&mut s.rig.clients);
     let s_ref = &s;
     let before = engine.stats();
-    // Wire answers by (caller, request): a digest of each, and in full the
-    // first of each kind on caller 0, for the simulation check.
+    // Answers by (caller, request): a digest of each in-process output and
+    // of each wire answer, and in full the first wire answer of each kind
+    // on caller 0, for the simulation check.
+    let inproc_digests: Mutex<Vec<(usize, u64, u64)>> = Mutex::new(Vec::new());
     let digests: Mutex<Vec<(usize, u64, u64)>> = Mutex::new(Vec::new());
     let kept: Mutex<Vec<Option<(u64, ResponseBody)>>> = Mutex::new(vec![None; KINDS.len()]);
     let (inproc_phase, wire_phase) = harness::interleaved(
@@ -264,7 +300,11 @@ pub fn run(seed: u64, budget: Duration) -> Report {
             let start = Instant::now();
             let output = inproc(&engine, s_ref, &req)?;
             let ns = harness::ns_since(start);
-            drop(output);
+            let d = output_digest(&output);
+            inproc_digests
+                .lock()
+                .expect("no caller panics")
+                .push((caller, i, d));
             Ok(Sample { class: kind, ns })
         },
         |client, caller, i| {
@@ -289,6 +329,7 @@ pub fn run(seed: u64, budget: Duration) -> Report {
     );
     let stats = engine.stats();
     report.set("peak_rss_mib", harness::peak_rss_mib());
+    setup_timer.finish(setup, &mut report);
 
     inproc_phase.report("", &mut report);
     wire_phase.report("wire_", &mut report);
@@ -300,20 +341,20 @@ pub fn run(seed: u64, budget: Duration) -> Report {
         ));
     }
 
-    // Oracle 1: every wire answer equals the in-process answer to the same
+    // Oracle 1: every in-process output of the two concurrent callers and
+    // every wire answer equals a single-threaded recompute of the same
     // request.
     let oracle_start = Instant::now();
-    let mut extracted = [None; KINDS.len()];
-    for (caller, i, d) in digests.into_inner().expect("callers joined") {
-        let (kind, req) = prepare(seed, &s, caller, i);
-        match inproc(&engine, &s, &req) {
-            Ok(output) if expected_digest(&output, kind, &mut extracted) == d => {}
-            Ok(_) => report.reject(format!("caller {caller} request {i}: wire answer differs")),
-            Err(e) => report.reject(format!("caller {caller} request {i}: in-process {e}")),
-        }
-    }
+    check_against_recompute(
+        &engine,
+        &s,
+        seed,
+        inproc_digests.into_inner().expect("callers joined"),
+        digests.into_inner().expect("callers joined"),
+        &mut report,
+    );
     eprintln!(
-        "wire answers checked in {:.1} s",
+        "answers checked in {:.1} s",
         oracle_start.elapsed().as_secs_f64()
     );
     // Oracle 2: one wire answer per kind of at most 12 qubits, re-parsed
@@ -352,7 +393,69 @@ pub fn run(seed: u64, budget: Duration) -> Report {
     report
 }
 
-fn full_from_qasm(summary: &CompiledSummary) -> Result<quclear_circuit::Circuit, String> {
+/// Recomputes every request that has an in-process or a wire digest, one
+/// thread per caller, and rejects each digest that differs from the
+/// recompute's.
+fn check_against_recompute(
+    engine: &Engine,
+    s: &Setup,
+    seed: u64,
+    inproc_digests: Vec<(usize, u64, u64)>,
+    wire_digests: Vec<(usize, u64, u64)>,
+    report: &mut Report,
+) {
+    // Per caller, request index -> (in-process digest, wire digest).
+    let mut by_caller: Vec<BTreeMap<u64, [Option<u64>; 2]>> = vec![BTreeMap::new(); CALLERS];
+    for (p, digests) in [inproc_digests, wire_digests].into_iter().enumerate() {
+        for (caller, i, d) in digests {
+            by_caller[caller].entry(i).or_default()[p] = Some(d);
+        }
+    }
+    let rejected: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = by_caller
+            .iter()
+            .enumerate()
+            .map(|(caller, requests)| {
+                scope.spawn(move || {
+                    let mut extracted = [None; KINDS.len()];
+                    let mut rejected = Vec::new();
+                    for (&i, &[inproc_d, wire_d]) in requests {
+                        let (kind, req) = prepare(seed, s, caller, i);
+                        let output = match inproc(engine, s, &req) {
+                            Ok(output) => output,
+                            Err(e) => {
+                                rejected
+                                    .push(format!("caller {caller} request {i}: recompute {e}"));
+                                continue;
+                            }
+                        };
+                        if inproc_d.is_some_and(|d| d != output_digest(&output)) {
+                            rejected.push(format!(
+                                "caller {caller} request {i}: in-process output differs"
+                            ));
+                        }
+                        if wire_d
+                            .is_some_and(|d| d != expected_digest(&output, kind, &mut extracted))
+                        {
+                            rejected
+                                .push(format!("caller {caller} request {i}: wire answer differs"));
+                        }
+                    }
+                    rejected
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("recompute threads do not panic"))
+            .collect()
+    });
+    for why in rejected {
+        report.reject(why);
+    }
+}
+
+fn full_from_qasm(summary: &CompiledSummary) -> Result<Circuit, String> {
     let mut full = from_qasm(&summary.optimized_qasm).map_err(|e| e.to_string())?;
     full.append(&from_qasm(&summary.extracted_qasm).map_err(|e| e.to_string())?);
     Ok(full)
@@ -581,4 +684,28 @@ pub fn traced(seed: u64, budget: Duration, t: &mut Tracer) -> Report {
         ));
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn output_digest_sees_one_changed_angle() {
+        let program = Benchmark::Ucc(4, 8).rotations();
+        let result = quclear_core::compile(&program, &Default::default());
+        let mut gates = result.optimized.gates().to_vec();
+        let k = gates
+            .iter()
+            .position(|g| matches!(g, Gate::Rz { .. }))
+            .expect("the compiled ansatz has an Rz");
+        if let Gate::Rz { angle, .. } = &mut gates[k] {
+            *angle = f64::from_bits(angle.to_bits() ^ 1);
+        }
+        let mut changed = result.clone();
+        changed.optimized = Circuit::from_gates(result.optimized.num_qubits(), gates);
+        let same = output_digest(&Output::One(result.clone()));
+        assert_eq!(same, output_digest(&Output::One(result)));
+        assert_ne!(same, output_digest(&Output::One(changed)));
+    }
 }
